@@ -7,14 +7,15 @@
  *
  *   perfbench --workload W --seed N --seconds S --trace 0|1
  *             --ref DIR --out DIR [--smoke] [--record]
- *             [--corrupt-digest]
+ *             [--record-counts] [--corrupt-digest]
  *
  * Workloads (see README.md for why each exists):
  *   reproduce_all       the 22 experiments through one RunContext,
- *                       4 threads
- *   kernels_and_design  cold quality profiles, the Sec. 6.2 canneal
- *                       error-mode matrix and 100 design-space
- *                       queries on never-reused chips, 1 thread
+ *                       4 threads, with 100 design-space queries on
+ *                       never-reused chips between them, 1 thread
+ *   kernels_and_design  cold quality profiles and the Sec. 6.2
+ *                       canneal error-mode matrix, with 100 design
+ *                       queries spread between their steps, 1 thread
  *
  * --trace 0 measures the end-to-end metrics with no spans and the
  * stats registry off. --trace 1 runs one pass untraced and one
@@ -32,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -120,51 +122,57 @@ fileDigest(const fs::path &path)
 }
 
 /**
- * The output gate: expected digests of one workload, loaded from
- * `<ref>/<workload>.txt` ("key digest" lines). In record mode it
- * collects digests instead and writes that file.
+ * The output gate: expected digests and work counts ("key value"
+ * lines) from `<ref>/<workload>.txt`, plus the design queries'
+ * per-chip digests from `<ref>/design.txt`, which both workloads
+ * share. In record mode it collects digests (or, with recordCounts,
+ * counts) instead and writes them back, keeping the entries it did
+ * not re-record.
  */
 class Gate
 {
   public:
-    Gate(fs::path file, bool record, bool corrupt)
-        : file_(std::move(file)), record_(record), corrupt_(corrupt)
+    Gate(const fs::path &ref, const std::string &workload, bool record,
+         bool record_counts, bool corrupt)
+        : file_(ref / (workload + ".txt")), designFile_(ref / "design.txt"),
+          record_(record), recordCounts_(record_counts), corrupt_(corrupt)
     {
-        if (record_)
-            return;
-        std::ifstream in(file_);
-        if (!in)
-            die("no reference digests at " + file_.string());
-        std::string key, digest;
-        while (in >> key >> digest)
-            expected_[key] = digest;
-        if (expected_.empty())
-            die("empty reference file " + file_.string());
+        for (const fs::path &path : {file_, designFile_}) {
+            std::ifstream in(path);
+            if (!in && !record_ && !recordCounts_)
+                die("no reference digests at " + path.string());
+            std::string key, digest;
+            while (in >> key >> digest)
+                expected_[key] = digest;
+        }
+        if (expected_.empty() && !record_)
+            die("empty reference files in " + ref.string());
     }
 
     /** Check one output; false (and counted) on a mismatch. */
     bool
     check(const std::string &key, const std::string &digest)
     {
+        return compare(key, digest, record_);
+    }
+
+    /** Check one work count, which must repeat exactly. */
+    bool
+    checkCount(const std::string &key, double value)
+    {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g", value);
+        return compare(key, buf, recordCounts_);
+    }
+
+    /** A condition every run must meet, counted like an output. */
+    bool
+    require(const std::string &what, bool ok)
+    {
         ++checked_;
-        if (record_) {
-            recorded_[key] = digest;
-            return true;
-        }
-        auto it = expected_.find(key);
-        std::string want = it == expected_.end() ? "absent" : it->second;
-        if (corrupt_) {
-            // Self-test: the first expected digest is made wrong.
-            want = "0" + want;
-            corrupt_ = false;
-        }
-        if (want == digest)
-            return true;
-        if (++failed_ <= 5)
-            std::fprintf(stderr, "perfbench: output %s: digest %s, "
-                         "reference %s\n", key.c_str(), digest.c_str(),
-                         want.c_str());
-        return false;
+        if (!ok && ++failed_ <= 5)
+            std::fprintf(stderr, "perfbench: failed: %s\n", what.c_str());
+        return ok;
     }
 
     /** Every expected key with a given prefix (sorted). */
@@ -181,21 +189,50 @@ class Gate
     void
     write() const
     {
-        std::ofstream out(file_);
+        std::map<std::string, std::string> merged = expected_;
         for (const auto &[key, digest] : recorded_)
-            out << key << ' ' << digest << '\n';
-        if (!out)
+            merged[key] = digest;
+        std::ofstream out(file_), design(designFile_);
+        for (const auto &[key, digest] : merged)
+            (key.rfind("chip.", 0) == 0 ? design : out)
+                << key << ' ' << digest << '\n';
+        if (!out || !design)
             die("cannot write " + file_.string());
-        std::fprintf(stderr, "perfbench: recorded %zu digests to %s\n",
-                     recorded_.size(), file_.string().c_str());
+        std::fprintf(stderr, "perfbench: recorded %zu entries to %s\n",
+                     recorded_.size(), file_.parent_path().string().c_str());
     }
 
     std::uint64_t checked() const { return checked_; }
     std::uint64_t failed() const { return failed_; }
 
   private:
+    bool
+    compare(const std::string &key, const std::string &got, bool record)
+    {
+        ++checked_;
+        if (record) {
+            recorded_[key] = got;
+            return true;
+        }
+        auto it = expected_.find(key);
+        std::string want = it == expected_.end() ? "absent" : it->second;
+        if (corrupt_) {
+            // Self-test: the first expected digest is made wrong.
+            want = "0" + want;
+            corrupt_ = false;
+        }
+        if (want == got)
+            return true;
+        if (++failed_ <= 5)
+            std::fprintf(stderr, "perfbench: output %s: %s, reference %s\n",
+                         key.c_str(), got.c_str(), want.c_str());
+        return false;
+    }
+
     fs::path file_;
+    fs::path designFile_;
     bool record_;
+    bool recordCounts_;
     bool corrupt_;
     std::map<std::string, std::string> expected_;
     std::map<std::string, std::string> recorded_;
@@ -320,6 +357,14 @@ median(std::vector<double> v)
     return quantile(std::move(v), 50.0);
 }
 
+void
+pinPool(std::size_t threads)
+{
+    util::ThreadPool::setGlobalThreads(threads);
+    if (util::ThreadPool::global().size() != threads)
+        die("thread pool did not take its pinned size");
+}
+
 // ---------------------------------------------------------------
 // Options and workload plumbing.
 
@@ -331,6 +376,7 @@ struct Options
     bool trace = false;
     bool smoke = false;
     bool record = false;
+    bool recordCounts = false;
     bool corrupt = false;
     fs::path ref;
     fs::path out;
@@ -341,12 +387,20 @@ struct Phase
 {
     double wallS = 0.0;
     double cpuS = 0.0;
-    std::vector<double> queryMs; //!< one entry per query
+    std::vector<double> passS; //!< one entry per pass
 };
 
 /**
- * One workload: a repeatable set-up, then a timed phase of whole
- * passes over the workload (queries), seconds long each.
+ * Passes per run at most. Every run of a workload then does the same
+ * work, and its length does not depend on how fast the host happens
+ * to be; wall_s and cpu_s are per pass.
+ */
+constexpr std::size_t kMaxPasses = 2;
+
+/**
+ * One workload: a set-up per pass, then a timed phase of whole passes
+ * over the workload. Each pass makes design queries between its other
+ * steps; their latencies give the query metrics.
  */
 class Workload
 {
@@ -357,37 +411,33 @@ class Workload
     /** Pool size of the set-up. */
     virtual std::size_t setupThreads() const { return threads(); }
     /** Set-ups per run; setup_s is their median. */
-    virtual std::size_t setupReps() const { return 101; }
+    virtual std::size_t setupReps() const = 0;
     virtual void setup() = 0;
     /** Run one pass; index is its position in the phase. */
-    virtual void query(std::size_t index) = 0;
+    virtual void pass(std::size_t index) = 0;
     /** Per-layer metrics from the traced half. */
     virtual void layerMetrics(const std::vector<Span> &spans,
                               std::map<std::string, double> *out) = 0;
+
+    /** Latency of every design query made in the passes so far. */
+    std::vector<double> queryMs;
 };
 
-/**
- * Passes per run at most. Every run of a workload then does the same
- * work, and its length does not depend on how fast the host happens
- * to be; wall_s and cpu_s are per pass.
- */
-constexpr std::size_t kMaxPasses = 2;
-
 Phase
-timedPhase(Workload &w, double until_s, std::size_t queries)
+timedPhase(Workload &w, double until_s, std::size_t passes)
 {
     Phase phase;
     const double cpu0 = cpuSeconds();
     const double t0 = nowSeconds();
-    for (std::size_t i = 0; i < queries; ++i) {
-        const double q0 = nowSeconds();
+    for (std::size_t i = 0; i < passes; ++i) {
+        const double p0 = nowSeconds();
         {
-            Scope span("bench.query");
-            w.query(i);
+            Scope span("bench.pass");
+            w.pass(i);
         }
-        const double q1 = nowSeconds();
-        phase.queryMs.push_back((q1 - q0) * 1e3);
-        if (q1 - t0 >= until_s)
+        const double p1 = nowSeconds();
+        phase.passS.push_back(p1 - p0);
+        if (p1 - t0 >= until_s)
             break;
     }
     phase.wallS = nowSeconds() - t0;
@@ -432,113 +482,6 @@ const std::vector<std::string> kKernels = {
     "canneal", "ferret", "bodytrack", "x264", "hotspot", "srad"};
 
 // ---------------------------------------------------------------
-// reproduce_all: one query is one full `run all`.
-
-const std::vector<std::string> kNamedExperiments = {
-    "comparison_baselines",         "ext_weak_scaling",
-    "fig2_fig4_quality_fronts",     "fig6_pareto_parsec",
-    "sec62_error_model_validation", "table3_characterization"};
-
-class ReproduceAll final : public Workload
-{
-  public:
-    ReproduceAll(Gate &gate, const Options &o) : gate_(gate), o_(o) {}
-
-    std::size_t threads() const override { return 4; }
-
-    void
-    setup() override
-    {
-        // The output directory is emptied so a CSV that is no
-        // longer written cannot pass on a stale copy.
-        dir_ = o_.out / "reproduce_all";
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
-        experiments_.clear();
-        for (const harness::Experiment *e :
-             harness::Registry::instance().all())
-            if (!o_.smoke || smokeSet().count(e->name()))
-                experiments_.push_back(e);
-    }
-
-    void
-    query(std::size_t) override
-    {
-        for (const auto &entry : fs::directory_iterator(dir_))
-            fs::remove(entry.path());
-        harness::RunContext::Options options;
-        options.seed = 12345;
-        options.outDir = dir_.string();
-        options.format = harness::OutputFormat::Csv;
-        harness::RunContext ctx(options);
-        {
-            harness::StdoutSilencer quiet;
-            for (const harness::Experiment *e : experiments_) {
-                Scope span("harness." + e->name());
-                e->run(ctx);
-            }
-        }
-        systemBuilds_ = ctx.systemBuilds();
-
-        std::vector<std::string> names;
-        if (o_.record) {
-            for (const auto &entry : fs::directory_iterator(dir_))
-                names.push_back(entry.path().stem().string());
-        } else {
-            for (const std::string &key : gate_.keys("csv."))
-                names.push_back(key.substr(4));
-        }
-        for (const std::string &name : names) {
-            const fs::path file = dir_ / (name + ".csv");
-            // A smoke run writes only its subset of the CSVs.
-            if (o_.smoke && !fs::exists(file))
-                continue;
-            gate_.check("csv." + name, fileDigest(file));
-        }
-    }
-
-    void
-    layerMetrics(const std::vector<Span> &spans,
-                 std::map<std::string, double> *out) override
-    {
-        double other = 0.0;
-        std::map<std::string, double> named;
-        for (const std::string &e : kNamedExperiments)
-            named[e] = 0.0;
-        for (const Span &s : spans) {
-            if (layerOf(s.name) != "harness")
-                continue;
-            const std::string e = s.name.substr(8);
-            if (named.count(e))
-                named[e] += seconds(s);
-            else
-                other += seconds(s);
-        }
-        for (const auto &[e, s] : named)
-            (*out)["harness." + e + ".wall_s"] = s;
-        (*out)["harness.other.wall_s"] = other;
-        (*out)["harness.system_builds"] =
-            static_cast<double>(systemBuilds_);
-    }
-
-  private:
-    static const std::set<std::string> &
-    smokeSet()
-    {
-        static const std::set<std::string> set = {
-            "fig1a_operating_point", "fig1b_error_rate",
-            "fig1c_guardband", "table2_parameters"};
-        return set;
-    }
-
-    Gate &gate_;
-    const Options &o_;
-    fs::path dir_;
-    std::vector<const harness::Experiment *> experiments_;
-    std::size_t systemBuilds_ = 0;
-};
-
-// ---------------------------------------------------------------
 // Design-space queries: one query is one never-seen chip.
 
 /** Chip ids a run draws from; every one has a reference digest. */
@@ -571,14 +514,14 @@ digestFront(Digest *d, const std::vector<core::OperatingPoint> &front)
 }
 
 /**
- * The design-space part of the single-thread workload: one
- * AccordionSystem set up once, then per query a fresh chip through
- * ChipFactory, ParetoExtractor and PerfModel.
+ * Design-space queries, made by both workloads: one
+ * AccordionSystem with its six profiles, then per query a fresh chip
+ * through ChipFactory, ParetoExtractor and PerfModel, on one thread.
  */
 class DesignQueries
 {
   public:
-    DesignQueries(Gate &gate, const Options &o) : gate_(gate)
+    DesignQueries(Gate &gate, const Options &o) : gate_(gate), o_(o)
     {
         // The seed picks the order chips are visited in; a run
         // never revisits a chip, so no chip-level cache can help.
@@ -592,28 +535,89 @@ class DesignQueries
             std::sort(chips_.begin(), chips_.end());
     }
 
+    /** Build a system of our own and measure its six profiles. */
     void
     setup()
     {
-        system_.reset();
+        owned_.reset();
         core::AccordionSystem::Config config;
         config.seed = 12345;
         config.perfEngine = core::PerfEngine::Analytic;
-        system_ = std::make_unique<core::AccordionSystem>(config);
-        workloads_.clear();
-        profiles_.clear();
+        owned_ = std::make_unique<core::AccordionSystem>(config);
+        measureProfiles(*owned_);
         for (const std::string &k : kKernels) {
-            {
-                Scope span("core." + k + ".system_profile");
-                profiles_.push_back(&system_->profile(k));
-            }
-            workloads_.push_back(&rms::findWorkload(k));
             Digest d;
-            digestProfile(&d, *profiles_.back());
+            digestProfile(&d, owned_->profile(k));
             gate_.check("system_profile." + k, d.hex());
+        }
+        use(*owned_);
+    }
+
+    /** Measure the six profiles the queries need (set-up work). */
+    static void
+    measureProfiles(core::AccordionSystem &system)
+    {
+        for (const std::string &k : kKernels) {
+            Scope span("core." + k + ".system_profile");
+            system.profile(k);
         }
     }
 
+    /** Query against `system`, whose profiles are measured. */
+    void
+    use(core::AccordionSystem &system)
+    {
+        system_ = &system;
+        workloads_.clear();
+        profiles_.clear();
+        for (const std::string &k : kKernels) {
+            workloads_.push_back(&rms::findWorkload(k));
+            profiles_.push_back(&system.profile(k));
+        }
+    }
+
+    /** Queries per pass. */
+    std::size_t
+    perPass() const
+    {
+        return o_.smoke ? 10 : (o_.record ? kChipPool : kChipsPerPass);
+    }
+
+    /** The i-th query of a pass; each pass visits chips no earlier
+     *  pass of the run has seen. Returns its latency in ms. */
+    double
+    timedQuery(std::size_t pass, std::size_t i)
+    {
+        const double t0 = nowSeconds();
+        query(pass * perPass() + i);
+        return (nowSeconds() - t0) * 1e3;
+    }
+
+    void
+    layerMetrics(const std::vector<Span> &spans,
+                 std::map<std::string, double> *out) const
+    {
+        // Per-query totals of each call kind, then their median.
+        std::map<int, std::map<std::string, double>> by_query;
+        for (const Span &s : spans)
+            if (s.parent >= 0 && spans[s.parent].name == "bench.chip")
+                by_query[s.parent][s.name] += seconds(s);
+        std::map<std::string, std::vector<double>> per_query;
+        for (const auto &[query, totals] : by_query)
+            for (const auto &[name, total] : totals)
+                per_query[name].push_back(total);
+        const auto med = [&](const std::string &name, double scale) {
+            const auto &v = per_query[name];
+            return v.empty() ? 0.0 : median(v) * scale;
+        };
+        (*out)["vartech.make_chip_ms"] = med("vartech.make_chip", 1e3);
+        (*out)["core.extractor_ms"] = med("core.extractor", 1e3);
+        (*out)["core.extract_safe_ms"] = med("core.extract_safe", 1e3);
+        (*out)["core.extract_spec_ms"] = med("core.extract_spec", 1e3);
+        (*out)["manycore.estimate_us"] = med("manycore.estimate", 1e6);
+    }
+
+  private:
     /** Query the index-th chip of this run's order. */
     void
     query(std::size_t index)
@@ -697,40 +701,157 @@ class DesignQueries
                     consistent ? d.hex() : "inconsistent");
     }
 
-    void
-    layerMetrics(const std::vector<Span> &spans,
-                 std::map<std::string, double> *out) const
-    {
-        // Per-query totals of each call kind, then their median.
-        std::map<int, std::map<std::string, double>> by_query;
-        for (const Span &s : spans)
-            if (s.parent >= 0 && spans[s.parent].name == "bench.chip")
-                by_query[s.parent][s.name] += seconds(s);
-        std::map<std::string, std::vector<double>> per_query;
-        for (const auto &[query, totals] : by_query)
-            for (const auto &[name, total] : totals)
-                per_query[name].push_back(total);
-        const auto med = [&](const std::string &name, double scale) {
-            const auto &v = per_query[name];
-            return v.empty() ? 0.0 : median(v) * scale;
-        };
-        (*out)["vartech.make_chip_ms"] = med("vartech.make_chip", 1e3);
-        (*out)["core.extractor_ms"] = med("core.extractor", 1e3);
-        (*out)["core.extract_safe_ms"] = med("core.extract_safe", 1e3);
-        (*out)["core.extract_spec_ms"] = med("core.extract_spec", 1e3);
-        (*out)["manycore.estimate_us"] = med("manycore.estimate", 1e6);
-    }
-
-  private:
     Gate &gate_;
+    const Options &o_;
     std::vector<std::uint64_t> chips_;
-    std::unique_ptr<core::AccordionSystem> system_;
+    std::unique_ptr<core::AccordionSystem> owned_;
+    core::AccordionSystem *system_ = nullptr;
     std::vector<const rms::Workload *> workloads_;
     std::vector<const core::QualityProfile *> profiles_;
 };
 
 // ---------------------------------------------------------------
-// kernels_and_design: one query is a whole pass.
+// reproduce_all: one pass is one full `run all`, with design queries
+// on the reproduced system between the experiments.
+
+const std::vector<std::string> kNamedExperiments = {
+    "comparison_baselines",         "ext_weak_scaling",
+    "fig2_fig4_quality_fronts",     "fig6_pareto_parsec",
+    "sec62_error_model_validation", "table3_characterization"};
+
+class ReproduceAll final : public Workload
+{
+  public:
+    ReproduceAll(Gate &gate, const Options &o)
+        : gate_(gate), o_(o), dir_(o.out / "reproduce_all"), design_(gate, o)
+    {
+        // The output directory starts empty, and each pass empties
+        // it again, so a CSV that is no longer written cannot pass
+        // on a stale copy.
+        fs::remove_all(dir_);
+        fs::create_directories(dir_);
+        for (const harness::Experiment *e :
+             harness::Registry::instance().all())
+            if (!o_.smoke || smokeSet().count(e->name()))
+                experiments_.push_back(e);
+    }
+
+    std::size_t threads() const override { return 4; }
+    std::size_t setupReps() const override { return o_.smoke ? 1 : kMaxPasses; }
+
+    /**
+     * Build the RunContext of one pass: its shared system (seed
+     * 12345, chip 0) with the six kernels' quality profiles, which
+     * the experiments and the design queries then use.
+     */
+    void
+    setup() override
+    {
+        harness::RunContext::Options options;
+        options.seed = 12345;
+        options.outDir = dir_.string();
+        options.format = harness::OutputFormat::Csv;
+        auto ctx = std::make_unique<harness::RunContext>(options);
+        DesignQueries::measureProfiles(ctx->system());
+        contexts_.push_back(std::move(ctx));
+    }
+
+    void
+    pass(std::size_t index) override
+    {
+        if (contexts_.empty())
+            die("reproduce_all: a pass without its set-up");
+        const std::unique_ptr<harness::RunContext> ctx =
+            std::move(contexts_.front());
+        contexts_.pop_front();
+        for (const auto &entry : fs::directory_iterator(dir_))
+            fs::remove(entry.path());
+        design_.use(ctx->system());
+        const std::size_t chips = design_.perPass();
+        std::size_t done = 0;
+        for (std::size_t s = 0; s < experiments_.size(); ++s) {
+            {
+                harness::StdoutSilencer quiet;
+                Scope span("harness." + experiments_[s]->name());
+                experiments_[s]->run(*ctx);
+            }
+            // The design queries run on one thread, as they do in
+            // kernels_and_design, spread evenly between experiments.
+            const std::size_t until = (s + 1) * chips / experiments_.size();
+            if (done == until)
+                continue;
+            pinPool(1);
+            for (; done < until; ++done)
+                queryMs.push_back(design_.timedQuery(index, done));
+            pinPool(threads());
+        }
+        systemBuilds_ = ctx->systemBuilds();
+
+        std::vector<std::string> names;
+        if (o_.record) {
+            for (const auto &entry : fs::directory_iterator(dir_))
+                names.push_back(entry.path().stem().string());
+        } else {
+            for (const std::string &key : gate_.keys("csv."))
+                names.push_back(key.substr(4));
+        }
+        for (const std::string &name : names) {
+            const fs::path file = dir_ / (name + ".csv");
+            // A smoke run writes only its subset of the CSVs.
+            if (o_.smoke && !fs::exists(file))
+                continue;
+            gate_.check("csv." + name, fileDigest(file));
+        }
+    }
+
+    void
+    layerMetrics(const std::vector<Span> &spans,
+                 std::map<std::string, double> *out) override
+    {
+        double other = 0.0;
+        std::map<std::string, double> named;
+        for (const std::string &e : kNamedExperiments)
+            named[e] = 0.0;
+        for (const Span &s : spans) {
+            if (layerOf(s.name) != "harness")
+                continue;
+            const std::string e = s.name.substr(8);
+            if (named.count(e))
+                named[e] += seconds(s);
+            else
+                other += seconds(s);
+        }
+        for (const auto &[e, s] : named)
+            (*out)["harness." + e + ".wall_s"] = s;
+        (*out)["harness.other.wall_s"] = other;
+        (*out)["harness.system_builds"] =
+            static_cast<double>(systemBuilds_);
+        design_.layerMetrics(spans, out);
+    }
+
+  private:
+    static const std::set<std::string> &
+    smokeSet()
+    {
+        static const std::set<std::string> set = {
+            "fig1a_operating_point", "fig1b_error_rate",
+            "fig1c_guardband", "table2_parameters"};
+        return set;
+    }
+
+    Gate &gate_;
+    const Options &o_;
+    fs::path dir_;
+    std::vector<const harness::Experiment *> experiments_;
+    /** One context per set-up, taken in order by the passes. */
+    std::deque<std::unique_ptr<harness::RunContext>> contexts_;
+    std::size_t systemBuilds_ = 0;
+    DesignQueries design_;
+};
+
+// ---------------------------------------------------------------
+// kernels_and_design: one pass is the kernel and error-mode steps,
+// with design queries between them.
 
 std::string
 faultGroup(fault::ErrorMode mode)
@@ -756,8 +877,9 @@ keyName(std::string s)
 }
 
 /**
- * Everything single-threaded: the kernels' cold profiles, the
- * Sec. 6.2 error-mode matrix, then a batch of design-space queries.
+ * Everything single-threaded: the kernels' cold profiles and the
+ * Sec. 6.2 error-mode matrix, with a batch of design-space queries
+ * spread between their steps.
  */
 class KernelsAndDesign final : public Workload
 {
@@ -765,21 +887,6 @@ class KernelsAndDesign final : public Workload
     KernelsAndDesign(Gate &gate, const Options &o)
         : gate_(gate), o_(o), design_(gate, o)
     {
-    }
-
-    // The design system's profiles fan out over the whole pool in
-    // set-up. The passes run on one thread: at 4 threads the many
-    // small parallelFors of a design query made its latency swing
-    // by more than 2x between runs on a shared 4-CPU host.
-    std::size_t threads() const override { return 1; }
-    std::size_t setupThreads() const override { return 4; }
-    std::size_t setupReps() const override { return o_.smoke ? 1 : 2; }
-
-    void
-    setup() override
-    {
-        design_.setup();
-        kernels_.clear();
         for (const std::string &k : kKernels)
             if (!o_.smoke || k == "hotspot" || k == "srad")
                 kernels_.push_back(&rms::findWorkload(k));
@@ -792,55 +899,44 @@ class KernelsAndDesign final : public Workload
         if (o_.smoke)
             modes = {fault::ErrorMode::Drop,
                      fault::ErrorMode::InvertDecision};
-        plans_.clear();
         for (fault::ErrorMode m : modes)
             for (double fraction : {0.25, 0.5})
                 plans_.emplace_back(m, fraction);
     }
 
+    // The design system's profiles fan out over the whole pool in
+    // set-up. The passes run on one thread: at 4 threads the many
+    // small parallelFors of a design query made its latency swing
+    // by more than 2x between runs on a shared 4-CPU host.
+    std::size_t threads() const override { return 1; }
+    std::size_t setupThreads() const override { return 4; }
+    std::size_t setupReps() const override { return o_.smoke ? 1 : kMaxPasses; }
+
+    void setup() override { design_.setup(); }
+
     void
-    query(std::size_t pass) override
+    pass(std::size_t index) override
     {
-        std::optional<rms::RunResult> canneal_ref, canneal_run;
-        for (const rms::Workload *w : kernels_) {
-            const std::string &k = w->name();
-            rms::RunResult ref;
-            {
-                Scope span("rms." + k + ".reference");
-                ref = w->runReference(42);
-            }
-            rms::RunConfig def;
-            def.input = w->defaultInput();
-            def.threads = w->defaultThreads();
-            def.seed = 42;
-            rms::RunResult run;
-            {
-                Scope span("rms." + k + ".run");
-                run = w->run(def);
-            }
-            core::QualityProfile profile;
-            {
-                Scope span("core." + k + ".profile");
-                profile = core::QualityProfile::measure(*w, 42);
-            }
-            Digest dr, du, dp;
-            digestResult(&dr, ref);
-            digestResult(&du, run);
-            digestProfile(&dp, profile);
-            gate_.check("reference." + k, dr.hex());
-            gate_.check("run." + k, du.hex());
-            gate_.check("profile." + k, dp.hex());
-            if (k == "canneal") {
-                canneal_ref = std::move(ref);
-                canneal_run = std::move(run);
-            }
+        canneal_ = Canneal{};
+        std::vector<std::function<void()>> steps;
+        for (const rms::Workload *w : kernels_)
+            for (int part = 0; part < 3; ++part)
+                steps.push_back([this, w, part] { kernelStep(*w, part); });
+        steps.push_back([this] { cannealBase(); });
+        for (const fault::FaultPlan &plan : plans_)
+            steps.push_back([this, &plan] { faultStep(plan); });
+
+        // The design queries are spread evenly between the steps, so
+        // they meet the host's fast and slow phases as the rest of
+        // the pass does.
+        const std::size_t chips = design_.perPass();
+        std::size_t done = 0;
+        for (std::size_t s = 0; s < steps.size(); ++s) {
+            steps[s]();
+            for (const std::size_t until = (s + 1) * chips / steps.size();
+                 done < until; ++done)
+                queryMs.push_back(design_.timedQuery(index, done));
         }
-        canneal(std::move(canneal_ref), std::move(canneal_run));
-        // Each pass visits chips no earlier pass of the run has seen.
-        const std::size_t chips =
-            o_.smoke ? 3 : (o_.record ? kChipPool : kChipsPerPass);
-        for (std::size_t i = 0; i < chips; ++i)
-            design_.query(pass * chips + i);
     }
 
     void
@@ -868,44 +964,92 @@ class KernelsAndDesign final : public Workload
     }
 
   private:
-    /** The Sec. 6.2 error-model validation matrix on canneal. */
+    /** Canneal's runs at its default input, as Sec. 6.2 uses them. */
+    struct Canneal
+    {
+        std::optional<rms::RunResult> ref, run;
+        double qNominal = 0.0;
+        rms::RunConfig base;
+    };
+
+    /** Part 0: runReference; 1: run at the default input; 2: a cold
+     *  QualityProfile::measure. Seed 42 throughout. */
     void
-    canneal(std::optional<rms::RunResult> ref,
-            std::optional<rms::RunResult> run)
+    kernelStep(const rms::Workload &w, int part)
+    {
+        const std::string &k = w.name();
+        Digest d;
+        if (part == 2) {
+            core::QualityProfile profile;
+            {
+                Scope span("core." + k + ".profile");
+                profile = core::QualityProfile::measure(w, 42);
+            }
+            digestProfile(&d, profile);
+            gate_.check("profile." + k, d.hex());
+            return;
+        }
+        rms::RunResult r;
+        if (part == 0) {
+            Scope span("rms." + k + ".reference");
+            r = w.runReference(42);
+        } else {
+            Scope span("rms." + k + ".run");
+            r = w.run(defaultConfig(w));
+        }
+        digestResult(&d, r);
+        gate_.check((part == 0 ? "reference." : "run.") + k, d.hex());
+        if (k == "canneal")
+            (part == 0 ? canneal_.ref : canneal_.run) = std::move(r);
+    }
+
+    static rms::RunConfig
+    defaultConfig(const rms::Workload &w)
+    {
+        rms::RunConfig c;
+        c.input = w.defaultInput();
+        c.threads = w.defaultThreads();
+        c.seed = 42;
+        return c;
+    }
+
+    /** The nominal canneal quality the error modes are relative to. */
+    void
+    cannealBase()
     {
         // Sec. 6.2 runs canneal at its default input and profiling
-        // thread count: the runs the kernel pass already made. A
+        // thread count: the runs the kernel steps already made. A
         // smoke pass skips canneal there and makes them here.
         const rms::Workload &w = rms::findWorkload("canneal");
-        if (!ref) {
+        canneal_.base = defaultConfig(w);
+        if (!canneal_.ref) {
             Scope span("rms.canneal.reference");
-            ref = w.runReference(42);
+            canneal_.ref = w.runReference(42);
         }
-        rms::RunConfig base;
-        base.input = w.defaultInput();
-        base.threads = w.defaultThreads();
-        base.seed = 42;
-        if (!run) {
+        if (!canneal_.run) {
             Scope span("rms.canneal.run");
-            run = w.run(base);
+            canneal_.run = w.run(canneal_.base);
         }
-        const double q_nominal = w.quality(*run, *ref);
-        for (const fault::FaultPlan &plan : plans_) {
-            rms::RunConfig c = base;
-            c.fault = plan;
-            double q = 0.0;
-            {
-                Scope span("fault." + faultGroup(plan.mode()) +
-                           ".canneal");
-                q = w.qualityOf(c, *ref) / q_nominal;
-            }
-            Digest d;
-            d.real(q);
-            gate_.check("sec62." + keyName(fault::errorModeName(
-                                       plan.mode())) +
-                            (plan.fraction() < 0.3 ? ".q25" : ".q50"),
-                        d.hex());
+        canneal_.qNominal = w.quality(*canneal_.run, *canneal_.ref);
+    }
+
+    /** One cell of the Sec. 6.2 error-model validation matrix. */
+    void
+    faultStep(const fault::FaultPlan &plan)
+    {
+        const rms::Workload &w = rms::findWorkload("canneal");
+        rms::RunConfig c = canneal_.base;
+        c.fault = plan;
+        double q = 0.0;
+        {
+            Scope span("fault." + faultGroup(plan.mode()) + ".canneal");
+            q = w.qualityOf(c, *canneal_.ref) / canneal_.qNominal;
         }
+        Digest d;
+        d.real(q);
+        gate_.check("sec62." + keyName(fault::errorModeName(plan.mode())) +
+                        (plan.fraction() < 0.3 ? ".q25" : ".q50"),
+                    d.hex());
     }
 
     Gate &gate_;
@@ -913,6 +1057,7 @@ class KernelsAndDesign final : public Workload
     std::vector<const rms::Workload *> kernels_;
     std::vector<fault::FaultPlan> plans_;
     DesignQueries design_;
+    Canneal canneal_;
 };
 
 // ---------------------------------------------------------------
@@ -1032,13 +1177,6 @@ writeTrace(const fs::path &path, const std::vector<Span> &spans,
                  spans.size(), path.string().c_str());
 }
 
-void
-pinPool(std::size_t threads)
-{
-    util::ThreadPool::setGlobalThreads(threads);
-    if (util::ThreadPool::global().size() != threads)
-        die("thread pool did not take its pinned size");
-}
 
 /** Set up on the set-up pool, then pin the timed phase's pool. */
 void
@@ -1049,7 +1187,7 @@ setUp(Workload &w)
     pinPool(w.threads());
 }
 
-/** Time `reps` set-ups; the last one's state is kept. */
+/** Time the workload's set-ups; each pass uses one. */
 double
 timedSetup(Workload &w)
 {
@@ -1097,6 +1235,8 @@ parseArgs(int argc, char **argv)
                 o.smoke = true;
             } else if (arg == "--record") {
                 o.record = true;
+            } else if (arg == "--record-counts") {
+                o.recordCounts = true;
             } else if (arg == "--corrupt-digest") {
                 o.corrupt = true;
             } else {
@@ -1110,7 +1250,7 @@ parseArgs(int argc, char **argv)
         o.ref.empty() || o.out.empty())
         die("usage: perfbench --workload W --seed N --seconds S "
             "--trace 0|1 --ref DIR --out DIR [--smoke] [--record] "
-            "[--corrupt-digest]");
+            "[--record-counts] [--corrupt-digest]");
     return o;
 }
 
@@ -1127,7 +1267,7 @@ main(int argc, char **argv)
     if (env["build_type"] == "debug" || env["build_type"].empty())
         die("refusing to measure build type '" + env["build_type"] + "'");
 
-    Gate gate(o.ref / (o.workload + ".txt"), o.record, o.corrupt);
+    Gate gate(o.ref, o.workload, o.record, o.recordCounts, o.corrupt);
     std::unique_ptr<Workload> w;
     if (o.workload == "reproduce_all")
         w = std::make_unique<ReproduceAll>(gate, o);
@@ -1157,6 +1297,10 @@ main(int argc, char **argv)
     fs::create_directories(o.out);
     obs::setCurrentThreadName("main");
 
+    if (o.record && o.trace)
+        die("--record takes --trace 0; counts are --record-counts");
+    if (o.recordCounts && !o.trace)
+        die("--record-counts takes --trace 1");
     if (o.record) {
         setUp(*w);
         timedPhase(*w, 1e300, 1);
@@ -1170,18 +1314,24 @@ main(int argc, char **argv)
         const double setup_s = timedSetup(*w);
         const Phase phase = timedPhase(
             *w, o.seconds, o.smoke ? 1 : kMaxPasses);
-        const std::size_t n = phase.queryMs.size();
+        const std::size_t passes = phase.passS.size();
+        const std::vector<double> &queries = w->queryMs;
         metrics = {{"setup_s", setup_s},
-                   {"wall_s", median(phase.queryMs) * 1e-3},
-                   {"cpu_s", phase.cpuS / static_cast<double>(n)},
+                   {"wall_s", median(phase.passS)},
+                   {"cpu_s", phase.cpuS / static_cast<double>(passes)},
                    {"peak_rss_mb", peakRssMb()},
-                   {"queries_per_s", static_cast<double>(n) / phase.wallS},
-                   {"query_p50_ms", quantile(phase.queryMs, 50.0)},
-                   {"query_p90_ms", quantile(phase.queryMs, 90.0)}};
+                   {"queries_per_s", static_cast<double>(queries.size()) /
+                        (sum(queries) * 1e-3)},
+                   {"query_p50_ms", quantile(queries, 50.0)},
+                   {"query_p90_ms", quantile(queries, 90.0)}};
         order = {"setup_s", "wall_s", "cpu_s", "peak_rss_mb",
                  "queries_per_s", "query_p50_ms", "query_p90_ms"};
+        // The sample counts behind the medians and percentiles.
+        std::printf("{\"samples\": {\"setups\": %zu, \"passes\": %zu, "
+                    "\"queries\": %zu}}\n",
+                    w->setupReps(), passes, queries.size());
         std::fprintf(stderr, "perfbench: %s: %zu passes in %.3f s\n",
-                     o.workload.c_str(), n, phase.wallS);
+                     o.workload.c_str(), passes, phase.wallS);
     } else {
         const fs::path trace_path = o.out / ("trace_" + o.workload + ".json");
         obs::TraceWriter writer(trace_path.string());
@@ -1243,12 +1393,22 @@ main(int argc, char **argv)
             traced.wallS / plain.wallS - 1.0;
         metrics["obs.span_coverage_frac"] =
             selfTimeTable(g_tracer.spans, root);
+        gate.require("layer spans cover at least 95% of the traced pass",
+                     metrics["obs.span_coverage_frac"] >= 0.95);
+        // Work counts repeat exactly for a given workload and size.
+        const std::string prefix = o.smoke ? "smoke.count." : "count.";
+        for (const char *name : {"rms.kernel_runs", "vartech.chips",
+                                 "core.pareto_points",
+                                 "harness.system_builds"})
+            gate.checkCount(prefix + name, metrics[name]);
         metrics["failed_frac"] = gate.checked()
             ? static_cast<double>(gate.failed()) /
                 static_cast<double>(gate.checked())
             : 1.0;
         order = layerMetricNames();
         writeTrace(trace_path, g_tracer.spans, o.workload.c_str(), writer);
+        if (o.recordCounts)
+            gate.write();
     }
     printResult(gate, order, metrics);
     return 0;

@@ -4,6 +4,7 @@
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1
     python3 perfbench/run.py --smoke     # self-test, tiny counts
     python3 perfbench/run.py --record    # rewrite perfbench/reference/
+                                         # (digests, then work counts)
 
 Run from the repository root. The driver is built in
 $CARGO_TARGET_DIR (default .bench_build), outputs and traces go to
@@ -67,6 +68,9 @@ def smoke(binary):
             result = json.loads(out[-1])
             if not result["correct"] or result["failed"] != 0:
                 failures.append("%s: outputs differ from reference" % tag)
+            if trace and result["metrics"].get(
+                    "obs.span_coverage_frac", {}).get("value", 0) < 0.95:
+                failures.append("%s: layer spans cover < 95%%" % tag)
             for metric in SPEC[group]:
                 got = result["metrics"].get(metric["name"])
                 if got is None or got["unit"] != metric["unit"]:
@@ -109,11 +113,15 @@ def main():
         return smoke(binary)
     if args.record:
         for workload in WORKLOADS:
-            code, _ = driver(binary, ["--workload", workload, "--seed", "0",
-                                      "--seconds", "1", "--trace", "0",
-                                      "--record"])
-            if code:
-                return code
+            runs = [["--trace", "0", "--record"],
+                    ["--trace", "1", "--record-counts"],
+                    ["--trace", "1", "--record-counts", "--smoke"]]
+            for extra in runs:
+                code, _ = driver(binary, ["--workload", workload,
+                                          "--seed", "0", "--seconds", "600"]
+                                 + extra)
+                if code:
+                    return code
         return 0
     if None in (args.workload, args.seed, args.seconds, args.trace):
         parser.error("--workload, --seed, --seconds and --trace are required")
